@@ -1318,50 +1318,6 @@ def _bwd_scatter_add(op, rt, g):
 _register(OpImpl("scatter_add", _fwd_scatter_add, _bwd_scatter_add))
 
 
-def _fwd_attn_gather_scatter(op, rt):
-    # Fused attention aggregation: the exact index_select → broadcast-mul →
-    # scatter_add kernels of the ops it replaces, staged through private
-    # scratch so the gathered features and the weighted product never take
-    # arena slots or pay three dispatches.  ``alpha`` arrives un-reshaped;
-    # the (E, H) → (E, H, 1) view is free and value-preserving.
-    h = rt.values[op.ins[0]]
-    alpha = rt.values[op.ins[1]].reshape(op.meta["alpha_shape"])
-    index = op.meta["gather_index"]
-    gathered = _state_buffer(op, "gathered", (len(index),) + h.shape[1:],
-                             h.dtype)
-    np.take(h, index, axis=0, out=gathered)
-    product = np.multiply(gathered, alpha,
-                          out=_state_buffer(op, "product", gathered.shape,
-                                            gathered.dtype))
-    _out(op, rt, _scatter_sum_into(op, "out", product, op.meta["index"],
-                                   op.meta["dim_size"], op.meta["aggregate"]))
-
-
-def _bwd_attn_gather_scatter(op, rt, g):
-    # scatter_add backward first (gather the node grads to edges — same
-    # values as ``g[index]``), then the mul / reshape / index_select
-    # backwards verbatim, contributing in the unfused schedule's order:
-    # alpha before the gathered features.
-    gedge = _state_buffer(op, "gedge", op.state["product"].shape, g.dtype)
-    np.take(g, op.meta["index"], axis=0, out=gedge)
-    if op.in_requires[1]:
-        tmp = np.multiply(gedge, op.state["gathered"],
-                          out=_state_buffer(op, "gb_tmp", gedge.shape, g.dtype))
-        rt.contribute(op.ins[1],
-                      _unbroadcast(tmp, op.meta["alpha_shape"])
-                      .reshape(op.in_shapes[1]))
-    if op.in_requires[0]:
-        alpha = rt.values[op.ins[1]].reshape(op.meta["alpha_shape"])
-        np.multiply(gedge, alpha, out=gedge)
-        rt.contribute(op.ins[0], _scatter_sum_into(
-            op, "grad_h", gedge, op.meta["gather_index"],
-            op.in_shapes[0][0], op.meta["gather_scatter"]))
-
-
-_register(OpImpl("attn_gather_scatter", _fwd_attn_gather_scatter,
-                 _bwd_attn_gather_scatter, bwd_reads_in=True))
-
-
 def _fwd_scatter_max(op, rt):
     src = rt.values[op.ins[0]]
     index = op.meta["index"]
@@ -1390,37 +1346,9 @@ _register(OpImpl("scatter_max", _fwd_scatter_max, _bwd_scatter_max))
 
 
 def _fwd_segment_softmax(op, rt):
-    # Buffered mirror of functional.segment_softmax_array.  The per-group
-    # maximum runs as a sort-once + ``maximum.reduceat`` instead of the
-    # unbuffered ``np.maximum.at`` loop — max is exact and order-free, so the
-    # values are identical; empty groups get the same -inf → 0 treatment.
-    scores = rt.values[op.ins[0]]
-    index = op.meta["index"]
-    dim_size = op.meta["dim_size"]
-    state = op.state
-    if "perm" not in state:
-        perm = state["perm"] = np.argsort(index, kind="stable")
-        sorted_index = index[perm]
-        starts = np.searchsorted(sorted_index, np.arange(dim_size))
-        state["starts"] = np.minimum(starts, max(index.shape[0] - 1, 0))
-        state["empty"] = np.bincount(index, minlength=dim_size) == 0
-    group_shape = (dim_size,) + scores.shape[1:]
-    gathered = np.take(scores, state["perm"], axis=0,
-                       out=_state_buffer(op, "gathered", scores.shape, scores.dtype))
-    group_max = _state_buffer(op, "group_max", group_shape, scores.dtype)
-    np.maximum.reduceat(gathered, state["starts"], axis=0, out=group_max)
-    group_max[state["empty"]] = -np.inf
-    group_max[~np.isfinite(group_max)] = 0.0
-    spread = np.take(group_max, index, axis=0,
-                     out=_state_buffer(op, "spread", scores.shape, scores.dtype))
-    exp = _state_buffer(op, "exp", scores.shape, scores.dtype)
-    np.subtract(scores, spread, out=exp)
-    np.exp(exp, out=exp)
-    denom = _scatter_sum_into(op, "denom", exp, index, dim_size,
-                              op.meta["aggregate"])
-    np.maximum(denom, 1e-16, out=denom)
-    np.take(denom, index, axis=0, out=spread)
-    _out(op, rt, np.divide(exp, spread, out=op.buffer))
+    _out(op, rt, F.segment_softmax_array(
+        rt.values[op.ins[0]], op.meta["index"], op.meta["dim_size"],
+        op.meta["aggregate"], out=op.buffer))
 
 
 def _bwd_segment_softmax(op, rt, g):
@@ -1429,7 +1357,7 @@ def _bwd_segment_softmax(op, rt, g):
     weighted = g * out_data
     group_dot = _scatter_sum_into(op, "dot", weighted, index,
                                   op.meta["dim_size"], op.meta["aggregate"])
-    rt.contribute(op.ins[0], out_data * (g - group_dot[index]))
+    rt.contribute(op.ins[0], out_data * (g - np.take(group_dot, index, axis=0)))
 
 
 _register(OpImpl("segment_softmax", _fwd_segment_softmax, _bwd_segment_softmax,
@@ -1573,9 +1501,9 @@ def _gspmm_operands(op, rt):
 def _fwd_gspmm(op, rt):
     # The forward recomputes the exact expressions of kernels.gspmm_forward;
     # only the max reduction's argmax mask and tie counts persist (they are
-    # private fresh arrays) — the mul/mean intermediates are re-derived from
-    # the live input slots at backward time (bwd_reads_in keeps them alive),
-    # so no state entry ever aliases a reusable arena buffer.
+    # private fresh arrays) — the operands are re-read from the live input
+    # slots at backward time (bwd_reads_in keeps them alive), so no state
+    # entry ever aliases a reusable arena buffer.
     lhs, rhs, _, _ = _gspmm_operands(op, rt)
     state = {} if op.needs_backward and op.meta["reduce"] == "max" else None
     out = _kernels.gspmm_forward(op.meta["block"], op.meta["op"],
@@ -1591,10 +1519,6 @@ def _bwd_gspmm(op, rt, g):
     reduce = op.meta["reduce"]
     lhs, rhs, lhs_index, rhs_index = _gspmm_operands(op, rt)
     state = {}
-    if op.meta["op"] == "mul":
-        gathered = lhs[block.u]
-        state["gathered"] = gathered
-        state["rhs_b"] = _kernels._broadcast_edge_operand(rhs, gathered.ndim)
     if reduce == "mean":
         inv_deg = block.inverse_degrees(g.dtype)
         state["inv_deg"] = inv_deg.reshape((block.num_nodes,)
@@ -1607,7 +1531,7 @@ def _bwd_gspmm(op, rt, g):
     rhs_shape = op.in_shapes[rhs_index] \
         if rhs_index is not None and op.in_requires[rhs_index] else None
     grad_lhs, grad_rhs = _kernels.gspmm_backward(
-        block, op.meta["op"], reduce, g, state, lhs_shape, rhs_shape)
+        block, op.meta["op"], reduce, g, lhs, rhs, state, lhs_shape, rhs_shape)
     if grad_lhs is not None:
         rt.contribute(op.ins[lhs_index], grad_lhs)
     if grad_rhs is not None:

@@ -550,12 +550,6 @@ def scatter_max(src: Tensor, index: np.ndarray, dim_size: int) -> Tensor:
     return out
 
 
-def scatter_add_array(src: np.ndarray, index: np.ndarray, dim_size: int,
-                      aggregate=None) -> np.ndarray:
-    """Raw-ndarray forward of :func:`scatter_add` (inference fast path)."""
-    return _scatter_sum(src, index, dim_size, aggregate)
-
-
 def scatter_max_array(src: np.ndarray, index: np.ndarray, dim_size: int) -> np.ndarray:
     """Raw-ndarray forward of :func:`scatter_max` (inference fast path)."""
     out = np.full((dim_size,) + src.shape[1:], -np.inf, dtype=src.dtype)
@@ -581,7 +575,7 @@ def segment_softmax(scores: Tensor, index: np.ndarray, dim_size: int,
         def _backward(grad: np.ndarray) -> None:
             weighted = grad * out_data
             group_dot = _scatter_sum(weighted, index, dim_size, aggregate)
-            scores._accumulate(out_data * (grad - group_dot[index]))
+            scores._accumulate(out_data * (grad - np.take(group_dot, index, axis=0)))
 
         out._backward = _backward
     _record_op("segment_softmax", out, (scores,), index=index, dim_size=dim_size,
@@ -589,17 +583,45 @@ def segment_softmax(scores: Tensor, index: np.ndarray, dim_size: int,
     return out
 
 
-def segment_softmax_array(scores: np.ndarray, index: np.ndarray, dim_size: int,
-                          aggregate=None) -> np.ndarray:
-    """Raw-ndarray forward of :func:`segment_softmax` (inference fast path)."""
-    group_shape = (dim_size,) + scores.shape[1:]
-    group_max = np.full(group_shape, -np.inf, dtype=scores.dtype)
-    np.maximum.at(group_max, index, scores)
+def _segment_max(values: np.ndarray, index: np.ndarray, dim_size: int,
+                 aggregate=None) -> np.ndarray:
+    """Per-group maximum of ``values`` rows; empty or non-finite groups give 0.
+
+    Groups are gathered contiguous once and reduced with
+    ``np.maximum.reduceat`` instead of the unbuffered ``np.maximum.at``;
+    max is exact and order-free, so the values are identical.  With a
+    scatter CSR ``aggregate`` (``S[node, edge] = 1``, built once per edge
+    list) the grouping is its stored structure — ``indices`` lists each
+    node's edges and ``indptr`` delimits them — so nothing is sorted.
+    """
+    if aggregate is not None:
+        perm, bounds = aggregate.indices, aggregate.indptr
+    else:
+        perm = np.argsort(index, kind="stable")
+        bounds = np.searchsorted(index[perm], np.arange(dim_size + 1))
+    if values.shape[0] == 0:
+        return np.zeros((dim_size,) + values.shape[1:], dtype=values.dtype)
+    # reduceat needs in-range starts; a clamped empty group reads a stray
+    # row, which the empty mask then overwrites.
+    starts = np.minimum(bounds[:-1], values.shape[0] - 1)
+    group_max = np.maximum.reduceat(np.take(values, perm, axis=0), starts, axis=0)
+    group_max[bounds[1:] == bounds[:-1]] = 0.0
     group_max[~np.isfinite(group_max)] = 0.0
-    shifted = scores - group_max[index]
-    exp = np.exp(shifted)
+    return group_max
+
+
+def segment_softmax_array(scores: np.ndarray, index: np.ndarray, dim_size: int,
+                          aggregate=None, out: Optional[np.ndarray] = None
+                          ) -> np.ndarray:
+    """Raw-ndarray forward of :func:`segment_softmax`.
+
+    The one kernel behind the Tensor op, the inference paths and the
+    capture twin; ``out`` optionally receives the result.
+    """
+    group_max = _segment_max(scores, index, dim_size, aggregate)
+    exp = np.exp(scores - np.take(group_max, index, axis=0))
     denom = np.maximum(_scatter_sum(exp, index, dim_size, aggregate), 1e-16)
-    return exp / denom[index]
+    return np.divide(exp, np.take(denom, index, axis=0), out=out)
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,7 @@ and plans its buffers through the cross-member arena pool
 
 from repro.autograd.ir.arena import (ArenaPool, global_pool, plan_arena,
                                      pooling_disabled)
-from repro.autograd.ir.passes import (DEFAULT_PASSES, fuse_attention_gather,
-                                      fuse_elementwise_chains,
+from repro.autograd.ir.passes import (DEFAULT_PASSES, fuse_elementwise_chains,
                                       fuse_spmm_linear, run_passes,
                                       strip_training)
 from repro.autograd.ir.program import (IRVerificationError, OpImpl, OpRecord,
@@ -20,8 +19,7 @@ from repro.autograd.ir.program import (IRVerificationError, OpImpl, OpRecord,
 
 __all__ = [
     "ArenaPool", "global_pool", "plan_arena", "pooling_disabled",
-    "DEFAULT_PASSES", "fuse_attention_gather", "fuse_elementwise_chains",
-    "fuse_spmm_linear",
+    "DEFAULT_PASSES", "fuse_elementwise_chains", "fuse_spmm_linear",
     "run_passes", "strip_training",
     "IRVerificationError", "OpImpl", "OpRecord", "Program", "SlotInfo",
     "mark_variance", "verify_program",

@@ -22,10 +22,6 @@ therefore only perform rewrites whose float semantics are provably unchanged:
   from the same seeded RNG stream in the same order (members must be
   consecutive tape records), and each stage's backward multiply mirrors the
   dynamic closure exactly.
-* :func:`fuse_attention_gather` collapses the per-edge attention
-  aggregation GAT-style layers trace — ``index_select → reshape(α) → mul →
-  scatter_add`` — into one ``attn_gather_scatter`` visit that runs the
-  exact same gather/multiply/segment-sum kernels through private scratch.
 * :func:`strip_training` derives an inference-only program: stochastic
   regularisers are rewired out (inverted dropout's eval semantics), the
   loss head and everything only the backward pass needed are dropped, and
@@ -272,90 +268,6 @@ def fuse_elementwise_chains(program: Program,
 
 
 # ---------------------------------------------------------------------------
-# attention aggregation fusion
-# ---------------------------------------------------------------------------
-def _match_attention_group(program: Program, start: int, uses: Dict[int, int],
-                           protected: set):
-    """Match ``index_select → reshape(α) → mul → scatter_add`` at ``start``.
-
-    The per-edge attention aggregation GAT-style layers trace: gather the
-    source features, broadcast-multiply by the (reshaped) attention
-    coefficients, segment-sum to the destinations.  Members must be
-    consecutive tape records with single-consumer handoffs and
-    epoch-variant outputs, and the multiply must take the gathered features
-    as its first operand with the gathered shape (so the fused backward
-    mirrors ``_bwd_mul``'s no-reduction branch for that side).
-    """
-    ops, slots = program.ops, program.slots
-    if start + 3 >= len(ops):
-        return None
-    isel, rshp, mul, scat = ops[start:start + 4]
-    if (isel.kind != "index_select" or rshp.kind != "reshape"
-            or mul.kind != "mul" or scat.kind != "scatter_add"):
-        return None
-    if isel.mode != "buffer":
-        return None
-    if mul.ins != (isel.out, rshp.out) or scat.ins != (mul.out,):
-        return None
-    if mul.mode != "buffer":
-        return None
-    if slots[mul.out].shape != slots[isel.out].shape:
-        return None
-    members = [isel, rshp, mul, scat]
-    for member in members[:-1]:
-        if not _single_use(member, uses, protected):
-            return None
-    if any(not slots[m.out].variant for m in members):
-        return None
-    return members
-
-
-def fuse_attention_gather(program: Program,
-                          registry: Dict[str, object]) -> dict:
-    """Collapse per-edge attention aggregation into ``attn_gather_scatter``."""
-    impl = registry.get("attn_gather_scatter")
-    stats = {"pass": "fuse_attention_gather", "fused": 0, "ops_removed": 0}
-    if impl is None:
-        return stats
-    slots = program.slots
-    uses = program.use_counts()
-    protected = _protected_slots(program)
-    new_ops: List[OpRecord] = []
-    index = 0
-    ops = program.ops
-    while index < len(ops):
-        members = _match_attention_group(program, index, uses, protected)
-        if members is None:
-            new_ops.append(ops[index])
-            index += 1
-            continue
-        isel, rshp, mul, scat = members
-        ins = (isel.ins[0], rshp.ins[0])
-        fused = OpRecord(
-            kind="attn_gather_scatter", impl=impl, out=scat.out, ins=ins,
-            prev=ins,
-            in_requires=tuple(slots[s].requires_grad for s in ins),
-            in_shapes=tuple(slots[s].shape for s in ins),
-            needs_backward=scat.needs_backward,
-            meta={"gather_index": isel.meta["index"],
-                  "gather_scatter": isel.meta["scatter"],
-                  "alpha_shape": rshp.meta["shape"],
-                  "index": scat.meta["index"],
-                  "dim_size": scat.meta["dim_size"],
-                  "aggregate": scat.meta["aggregate"]},
-            mode=scat.mode)
-        slots[scat.out].producer = fused
-        for member in members[:-1]:
-            _kill_slot(slots[member.out])
-        new_ops.append(fused)
-        index += len(members)
-        stats["fused"] += 1
-        stats["ops_removed"] += len(members) - 1
-    program.ops = new_ops
-    return stats
-
-
-# ---------------------------------------------------------------------------
 # inference stripping
 # ---------------------------------------------------------------------------
 _STOCHASTIC = ("dropout", "drop_node")
@@ -432,8 +344,7 @@ def strip_training(program: Program) -> Optional[Program]:
 # ---------------------------------------------------------------------------
 # pipeline
 # ---------------------------------------------------------------------------
-DEFAULT_PASSES: Tuple = (fuse_spmm_linear, fuse_elementwise_chains,
-                         fuse_attention_gather)
+DEFAULT_PASSES: Tuple = (fuse_spmm_linear, fuse_elementwise_chains)
 
 
 def run_passes(program: Program, registry: Dict[str, object],

@@ -219,7 +219,7 @@ class RelationBlock:
     """
 
     __slots__ = ("u", "v", "num_nodes", "edge_weight",
-                 "_scatters", "_aggregates", "_inverse_degrees")
+                 "_scatters", "_aggregates", "_inverse_degrees", "_weighted")
 
     def __init__(self, u: np.ndarray, v: np.ndarray, num_nodes: int,
                  edge_weight: Optional[np.ndarray] = None) -> None:
@@ -230,6 +230,7 @@ class RelationBlock:
         self._scatters: Dict[Tuple[str, str], sp.csr_matrix] = {}
         self._aggregates: Dict[str, SparseTensor] = {}
         self._inverse_degrees: Dict[str, np.ndarray] = {}
+        self._weighted: Dict[Tuple[int, bool], Tuple[np.ndarray, ...]] = {}
 
     @classmethod
     def from_structure(cls, structure: sp.spmatrix) -> "RelationBlock":
@@ -279,6 +280,41 @@ class RelationBlock:
             self._aggregates[key] = SparseTensor(matrix)
         return self._aggregates[key]
 
+    def weighted_structure(self, heads: int, transpose: bool = False
+                           ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(indptr, indices, perm)`` of the edge-weighted aggregation CSR.
+
+        The operator has one row per (destination, head) pair and one column
+        per (source, head) pair — with ``transpose`` the roles of ``u`` and
+        ``v`` swap.  Rows hold their edges in edge-id order (a stable sort by
+        row node), so a CSR matmul sums each row in exactly the order of the
+        ``scatter`` operator of the same endpoint.  ``perm`` gathers a
+        flattened ``(E, heads)`` edge operand into the stored-value order.
+        """
+        key = (int(heads), bool(transpose))
+        if key not in self._weighted:
+            rows, cols = (self.u, self.v) if transpose else (self.v, self.u)
+            order = np.argsort(rows, kind="stable")
+            degree = np.bincount(rows, minlength=self.num_nodes)
+            starts = np.cumsum(degree) - degree
+            sorted_rows = rows[order]
+            head = np.arange(heads)
+            # Row (r, h) starts at heads*starts[r] + h*degree[r]; the k-th
+            # edge of r sits k entries further on.
+            position = ((heads * starts[sorted_rows]
+                         + np.arange(order.shape[0]) - starts[sorted_rows])[:, None]
+                        + head * degree[sorted_rows][:, None]).ravel()
+            index_dtype = (np.int32 if self.num_nodes * heads < np.iinfo(np.int32).max
+                           else np.int64)
+            perm = np.empty(position.shape[0], dtype=np.intp)
+            perm[position] = (order[:, None] * heads + head).ravel()
+            indices = np.empty(position.shape[0], dtype=index_dtype)
+            indices[position] = (cols[order][:, None] * heads + head).ravel()
+            indptr = np.zeros(self.num_nodes * heads + 1, dtype=index_dtype)
+            np.cumsum(np.repeat(degree, heads), out=indptr[1:])
+            self._weighted[key] = (indptr, indices, perm)
+        return self._weighted[key]
+
     def inverse_degrees(self, dtype) -> np.ndarray:
         """``1 / max(in_degree(v), 1)`` used by the mean reduction."""
         key = np.dtype(dtype).name
@@ -309,18 +345,74 @@ def _reduce_to(array: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     return array
 
 
+#: Target size of the per-chunk ``(edges, heads, F)`` product in the
+#: edge-weighted ``grad_rhs`` dot (fits comfortably in L2).
+_DOT_CHUNK_BYTES = 1 << 18
+
+
+def _edge_weighted(op: str, reduce: str, lhs: Optional[np.ndarray],
+                   rhs: Optional[np.ndarray]) -> bool:
+    """Whether ``gspmm(op, reduce)`` lowers to the edge-weighted CSR matmul.
+
+    That is ``mul``/``sum`` with an ``rhs`` of shape ``(E,) + lhs.shape[1:-1]``
+    — one weight per edge and head, broadcast over the last ``lhs`` axis —
+    and one dtype on both sides.
+    """
+    return (op == "mul" and reduce == "sum" and lhs.ndim >= 2
+            and rhs.shape[1:] == lhs.shape[1:-1] and lhs.dtype == rhs.dtype)
+
+
+def _weighted_aggregate(block: RelationBlock, rhs: np.ndarray,
+                        dense: np.ndarray, transpose: bool) -> np.ndarray:
+    """``out[r,h,:] = sum_e rhs[e,h] * dense[c_e,h,:]`` as one CSR matmul.
+
+    Rows ``r`` are the edges' ``v`` (``u`` with ``transpose``) and columns
+    ``c`` the other endpoint.  The stored values are the edge weights
+    gathered by an ``E * heads`` permutation, so no ``(E, heads, F)``
+    message array is ever built.  Each stored product ``rhs * dense`` is the
+    same IEEE product as the scatter path's ``1 * (dense * rhs)``, summed in
+    the same edge-id order within each row, so results are bit-identical.
+    """
+    n = block.num_nodes
+    heads = int(np.prod(rhs.shape[1:], dtype=np.int64))
+    indptr, indices, perm = block.weighted_structure(heads, transpose)
+    matrix = sp.csr_matrix((np.take(rhs.reshape(-1), perm), indices, indptr),
+                           shape=(n * heads, n * heads))
+    flat = dense.reshape(n * heads, dense.shape[-1])
+    return np.asarray(matrix @ flat).reshape(dense.shape)
+
+
+def _weighted_grad_rhs(block: RelationBlock, grad: np.ndarray,
+                       lhs: np.ndarray) -> np.ndarray:
+    """Per-edge ``sum_f grad[v_e,h,f] * lhs[u_e,h,f]`` in edge chunks.
+
+    The same products and the same last-axis reduction as the scatter
+    path's full ``(E, heads, F)`` contraction, one cache-sized chunk of
+    edges at a time.
+    """
+    num_edges = block.num_edges
+    out = np.empty((num_edges,) + lhs.shape[1:-1], dtype=grad.dtype)
+    chunk = max(1, _DOT_CHUNK_BYTES // max(lhs[0].nbytes, 1))
+    for start in range(0, num_edges, chunk):
+        stop = min(start + chunk, num_edges)
+        product = np.take(grad, block.v[start:stop], axis=0)
+        product *= np.take(lhs, block.u[start:stop], axis=0)
+        product.sum(axis=-1, out=out[start:stop])
+    return out
+
+
 def gspmm_forward(block: RelationBlock, op: str, reduce: str,
                   lhs: Optional[np.ndarray], rhs: Optional[np.ndarray],
-                  out: Optional[np.ndarray] = None,
                   state: Optional[Dict[str, np.ndarray]] = None) -> np.ndarray:
     """Raw-ndarray forward of :func:`gspmm` (inference path / capture twin).
 
-    ``out``, when given, receives the result in place.  ``state``, when
-    given, is filled with the intermediates the backward pass reads (the
-    gathered lhs rows, the broadcast rhs view, the mean scaling, and the
+    ``state``, when given, is filled with the intermediates the backward
+    pass reads besides the operands themselves (the mean scaling, and the
     argmax mask/tie counts of the max reduction).
     """
     keep = state if state is not None else {}
+    if _edge_weighted(op, reduce, lhs, rhs):
+        return _weighted_aggregate(block, rhs, lhs, transpose=False)
     if op == "copy_rhs":
         message = rhs
     else:
@@ -330,8 +422,6 @@ def gspmm_forward(block: RelationBlock, op: str, reduce: str,
         else:
             rhs_b = _broadcast_edge_operand(rhs, gathered.ndim)
             message = gathered * rhs_b if op == "mul" else gathered + rhs_b
-            keep["gathered"] = gathered
-            keep["rhs_b"] = rhs_b
     n = block.num_nodes
     if reduce == "max":
         result = np.full((n,) + message.shape[1:], -np.inf, dtype=message.dtype)
@@ -352,21 +442,28 @@ def gspmm_forward(block: RelationBlock, op: str, reduce: str,
             inv_deg = inv_deg.reshape((n,) + (1,) * (message.ndim - 1))
             result = result * inv_deg
             keep["inv_deg"] = inv_deg
-    if out is not None:
-        np.copyto(out, result)
-        return out
     return result
 
 
 def gspmm_backward(block: RelationBlock, op: str, reduce: str,
-                   grad: np.ndarray, state: Dict[str, np.ndarray],
+                   grad: np.ndarray, lhs: Optional[np.ndarray],
+                   rhs: Optional[np.ndarray], state: Dict[str, np.ndarray],
                    lhs_shape: Optional[Tuple[int, ...]],
                    rhs_shape: Optional[Tuple[int, ...]]
                    ) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
     """Shared backward of :func:`gspmm` (dynamic closure and capture twin).
 
-    Returns ``(grad_lhs, grad_rhs)`` with ``None`` for absent operands.
+    ``lhs``/``rhs`` are the forward operands (the ``mul`` product rule
+    re-reads them); ``state`` is what :func:`gspmm_forward` filled.  Returns
+    ``(grad_lhs, grad_rhs)`` with ``None`` for absent operands.
     """
+    if _edge_weighted(op, reduce, lhs, rhs):
+        grad_lhs = grad_rhs = None
+        if lhs_shape is not None:
+            grad_lhs = _weighted_aggregate(block, rhs, grad, transpose=True)
+        if rhs_shape is not None:
+            grad_rhs = _weighted_grad_rhs(block, grad, lhs)
+        return grad_lhs, grad_rhs
     if reduce == "sum":
         grad_message = grad[block.v]
     elif reduce == "mean":
@@ -376,11 +473,13 @@ def gspmm_backward(block: RelationBlock, op: str, reduce: str,
                         / state["tie_counts"][block.v])
     grad_lhs = grad_rhs = None
     if lhs_shape is not None:
-        contrib = grad_message if op != "mul" else grad_message * state["rhs_b"]
+        contrib = grad_message
+        if op == "mul":
+            contrib = grad_message * _broadcast_edge_operand(rhs, grad_message.ndim)
         grad_lhs = _scatter_sum(contrib, block.u, block.num_nodes,
                                 block.scatter("u", contrib.dtype))
     if rhs_shape is not None:
-        contrib = grad_message if op != "mul" else grad_message * state["gathered"]
+        contrib = grad_message if op != "mul" else grad_message * lhs[block.u]
         # The rhs broadcasts with *trailing* length-1 axes (see
         # ``_broadcast_edge_operand``), so reduce to that padded shape first.
         padded = tuple(rhs_shape) + (1,) * (contrib.ndim - len(rhs_shape))
@@ -404,6 +503,10 @@ def gspmm(block: RelationBlock, op: str, reduce: str,
     The degenerate ``(copy_lhs, sum)`` combination lowers onto the fused CSR
     ``spmm`` fast path (one sparse matmul, already understood by the capture
     engine); every other combination records a single fused ``"gspmm"`` op.
+    Attention aggregation — ``(mul, sum)`` with one weight per edge and head
+    — runs as one CSR matmul whose stored values are the weights (see
+    :meth:`RelationBlock.weighted_structure`), forward and backward, without
+    a per-edge feature array.
     """
     if op not in GSPMM_OPS:
         raise ValueError(f"unsupported gspmm op {op!r}; choose from {GSPMM_OPS}")
@@ -444,7 +547,10 @@ def gspmm(block: RelationBlock, op: str, reduce: str,
 
         def _backward(grad: np.ndarray) -> None:
             grad_lhs, grad_rhs = gspmm_backward(
-                block, op, reduce, grad, state, lhs_shape, rhs_shape)
+                block, op, reduce, grad,
+                None if lhs is None else lhs.data,
+                None if rhs is None else rhs.data,
+                state, lhs_shape, rhs_shape)
             if grad_lhs is not None:
                 lhs._accumulate(grad_lhs)
             if grad_rhs is not None:
@@ -466,7 +572,6 @@ def _gsddmm_operand(block: RelationBlock, data: np.ndarray, target: str) -> np.n
 def gsddmm_forward(block: RelationBlock, op: str,
                    lhs: Optional[np.ndarray], rhs: Optional[np.ndarray],
                    lhs_target: str = "u", rhs_target: str = "v",
-                   out: Optional[np.ndarray] = None,
                    state: Optional[Dict[str, np.ndarray]] = None) -> np.ndarray:
     """Raw-ndarray forward of :func:`gsddmm` (inference path / capture twin)."""
     keep = state if state is not None else {}
@@ -489,9 +594,6 @@ def gsddmm_forward(block: RelationBlock, op: str,
         result = left if lhs_target != "e" else left.copy()
     else:  # copy_rhs
         result = right if rhs_target != "e" else right.copy()
-    if out is not None:
-        np.copyto(out, result)
-        return out
     return result
 
 

@@ -185,7 +185,15 @@ class GraphTensors:
         if relation_id != 0:
             raise IndexError(
                 f"homogeneous view has a single relation, got id {relation_id}")
-        key = "relation_block:0"
+        return self.edge_block()
+
+    def edge_block(self) -> RelationBlock:
+        """Edge-parallel view of the whole attention edge list, memoised.
+
+        The union of all relations on typed views, which is what the
+        relation-agnostic attention layers aggregate over.
+        """
+        key = "edge_block"
         if key not in self.extras:
             self.extras[key] = RelationBlock(
                 self.edge_index[0], self.edge_index[1], self.num_nodes,

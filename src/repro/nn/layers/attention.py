@@ -1,9 +1,10 @@
 """Attention-based aggregators.
 
 * :class:`GATConv` — multi-head graph attention (Velickovic et al.) using the
-  scatter/segment-softmax primitives of the autograd engine, so attention
+  segment-softmax primitive of the autograd engine, so attention
   coefficients are computed per edge without materialising dense ``n x n``
-  score matrices.
+  score matrices, and the edge-weighted :func:`~repro.autograd.kernels.gspmm`
+  to aggregate without a per-edge feature array.
 * :class:`AGNNConv` — the attention-based propagation of Thekumparampil et
   al. with a single learnable temperature over cosine similarities.
 """
@@ -16,6 +17,7 @@ import numpy as np
 
 from repro.autograd import functional as F
 from repro.autograd import init
+from repro.autograd import kernels
 from repro.autograd.module import Module, Parameter
 from repro.autograd.modules import Linear
 from repro.autograd.tensor import Tensor
@@ -64,10 +66,8 @@ class GATConv(Module):
             attention = F.dropout(attention, self.attention_dropout, training=self.training,
                                   rng=self._rng)
 
-        messages = F.index_select(transformed, src, scatter=src_scatter)  # (E, heads, dim)
-        weighted = messages * attention.reshape(attention.shape[0], self.heads, 1)
-        aggregated = F.scatter_add(weighted, dst, num_nodes,
-                                   aggregate=dst_scatter)  # (n, heads, dim)
+        aggregated = kernels.gspmm(data.edge_block(), "mul", "sum",
+                                   transformed, attention)  # (n, heads, dim)
 
         if self.concat_heads:
             out = aggregated.reshape(num_nodes, self.heads * self.head_dim)
@@ -92,8 +92,8 @@ class GATConv(Module):
             attention = F.dropout(Tensor(attention), self.attention_dropout,
                                   training=True, rng=self._rng).data
 
-        weighted = transformed[src] * attention.reshape(attention.shape[0], self.heads, 1)
-        aggregated = F.scatter_add_array(weighted, dst, num_nodes, aggregate=dst_scatter)
+        aggregated = kernels.gspmm_forward(data.edge_block(), "mul", "sum",
+                                           transformed, attention)
 
         if self.concat_heads:
             out = aggregated.reshape(num_nodes, self.heads * self.head_dim)
@@ -120,8 +120,7 @@ class AGNNConv(Module):
                * F.index_select(normalised, dst, scatter=dst_scatter)).sum(axis=-1)
         scores = cos * self.beta
         attention = F.segment_softmax(scores, dst, data.num_nodes, aggregate=dst_scatter)
-        messages = F.index_select(x, src, scatter=src_scatter) * attention.reshape(-1, 1)
-        return F.scatter_add(messages, dst, data.num_nodes, aggregate=dst_scatter)
+        return kernels.gspmm(data.edge_block(), "mul", "sum", x, attention)
 
     def infer(self, x: np.ndarray, data: GraphTensors) -> np.ndarray:
         src, dst = data.edge_index
@@ -132,5 +131,4 @@ class AGNNConv(Module):
         scores = cos * self.beta.data
         attention = F.segment_softmax_array(scores, dst, data.num_nodes,
                                             aggregate=dst_scatter)
-        messages = x[src] * attention.reshape(-1, 1)
-        return F.scatter_add_array(messages, dst, data.num_nodes, aggregate=dst_scatter)
+        return kernels.gspmm_forward(data.edge_block(), "mul", "sum", x, attention)

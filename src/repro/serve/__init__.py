@@ -151,6 +151,11 @@ class BatchScorer:
         from repro.autograd.dtype import compute_dtype_scope
         from repro.serve.sharded import build_partition_plan, sharded_predict_proba
 
+        if len(getattr(graph, "relations", ())) > 1:
+            raise ValueError(
+                "sharded scoring does not support graphs with more than one "
+                "relation: the partitioner would drop the relation types — "
+                "score with a plain BatchScorer (num_partitions=1) instead")
         with compute_dtype_scope(self.ensemble.compute_dtype):
             data = self.ensemble._as_tensors(graph)
         halo = self.halo_hops

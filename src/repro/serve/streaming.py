@@ -241,6 +241,11 @@ class StreamingScorer:
                  max_workers: Optional[int] = None,
                  resilience: Optional[object] = None) -> None:
         start = time.perf_counter()
+        if len(getattr(graph, "relations", ())) > 1:
+            raise ValueError(
+                "streaming scoring does not support graphs with more than one "
+                "relation: the mutable serving graph would drop the relation "
+                "types — score with a plain BatchScorer instead")
         if isinstance(artifact, FittedEnsemble):
             self.ensemble = artifact
             self.artifact_path: Optional[str] = None

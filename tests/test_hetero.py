@@ -513,3 +513,18 @@ class TestHeteroPipeline:
         from repro.serve import BatchScorer
         result = BatchScorer(path).score(hetero_graph)
         np.testing.assert_array_equal(result.probabilities, expected)
+
+    def test_sharded_scoring_refuses_multi_relation_graphs(self, hetero_graph):
+        """Partitioning drops relation types, so it must refuse, not degrade."""
+        from repro.serve import BatchScorer
+        fitted = AutoHEnsGNN(_fast_config()).fit(hetero_graph)
+        with BatchScorer(fitted, num_partitions=2) as scorer:
+            with pytest.raises(ValueError, match="plain BatchScorer"):
+                scorer.score(hetero_graph)
+
+    def test_streaming_scoring_refuses_multi_relation_graphs(self, hetero_graph):
+        """The mutable serving graph is untyped, so it must refuse hetero input."""
+        from repro.serve import StreamingScorer
+        fitted = AutoHEnsGNN(_fast_config()).fit(hetero_graph)
+        with pytest.raises(ValueError, match="plain BatchScorer"):
+            StreamingScorer(fitted, hetero_graph)
