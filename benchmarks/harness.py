@@ -559,7 +559,7 @@ def ensemble_arena_study(members: int = 4, epochs: int = 6) -> Dict[str, float]:
 
 
 def memory_microbenchmark(epochs: int = 14) -> Dict[str, float]:
-    """Peak RSS and per-epoch allocation behaviour of full-batch training.
+    """Peak RSS and allocation behaviour of full-batch training and validation.
 
     Trains the micro-benchmark GCN under ``tracemalloc`` on both engines and
     samples, at every epoch boundary, (a) the epoch's transient allocation
@@ -568,6 +568,13 @@ def memory_microbenchmark(epochs: int = 14) -> Dict[str, float]:
     two epochs per engine are discarded (capture traces epoch 0 and builds
     its arena on epoch 1); medians of the steady-state epochs are reported,
     plus the process peak RSS from ``getrusage``.
+
+    Validation runs only at epoch 0 and after the last epoch
+    (``evaluate_every=epochs``), so every sampled window holds one training
+    step alone.  One steady-state validation pass —
+    ``NodeClassificationTrainer.evaluate`` over the validation rows of the
+    trained capture model — is sampled on its own as
+    ``validation_alloc_peak_kb``.
     """
     import resource
     import tracemalloc
@@ -587,7 +594,7 @@ def memory_microbenchmark(epochs: int = 14) -> Dict[str, float]:
         model = build_model("gcn", data.num_features, graph.num_classes,
                             hidden=32, seed=0)
         config = TrainConfig(lr=0.02, max_epochs=epochs, patience=epochs,
-                             capture=capture, seed=0)
+                             evaluate_every=epochs, capture=capture, seed=0)
         peaks: List[float] = []
         blocks: List[float] = []
         state: Dict[str, float] = {}
@@ -604,8 +611,17 @@ def memory_microbenchmark(epochs: int = 14) -> Dict[str, float]:
 
         tracemalloc.start()
         try:
-            NodeClassificationTrainer(config).train(
-                model, data, graph.labels, train_idx, val_idx, epoch_hook=epoch_hook)
+            trainer = NodeClassificationTrainer(config)
+            trainer.train(model, data, graph.labels, train_idx, val_idx,
+                          epoch_hook=epoch_hook)
+            if capture:
+                # The training run already validated once; this pass is
+                # steady state too.
+                waterline = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                trainer.evaluate(model, data, graph.labels, val_idx)
+                report["validation_alloc_peak_kb"] = (
+                    tracemalloc.get_traced_memory()[1] - waterline) / 1024.0
         finally:
             tracemalloc.stop()
         report[f"epoch_alloc_peak_kb_{label}"] = float(np.median(peaks)) / 1024.0
@@ -1168,8 +1184,8 @@ def check_runtime_regression(path: str, max_regression: float = 0.25,
     per calibration-second relative to the checked-in baseline before
     failing, which absorbs runner noise while catching real engine
     regressions.  When the baseline carries memory fields, the per-epoch
-    tracemalloc allocation peaks of both engines gate as well
-    (``max_memory_regression`` headroom — allocation profiles are far less
+    tracemalloc allocation peaks of both engines and the validation pass's
+    peak gate as well (``max_memory_regression`` headroom — allocation profiles are far less
     machine-sensitive than wall clock, but interpreter versions shift the
     small-object noise floor).
     """
@@ -1193,8 +1209,11 @@ def check_runtime_regression(path: str, max_regression: float = 0.25,
             f"> limit {limit:.3f} (baseline {baseline['normalized']:.3f} "
             f"+{max_regression:.0%})")
 
-    memory_keys = ("epoch_alloc_peak_kb_dynamic", "epoch_alloc_peak_kb_capture")
-    if all(key in baseline for key in memory_keys):
+    memory_keys = [key for key in ("epoch_alloc_peak_kb_dynamic",
+                                   "epoch_alloc_peak_kb_capture",
+                                   "validation_alloc_peak_kb")
+                   if key in baseline]
+    if memory_keys:
         memory = memory_microbenchmark()
         memory_report = {key: memory[key] for key in memory_keys}
         memory_report["peak_rss_mb"] = memory["peak_rss_mb"]
@@ -1203,7 +1222,7 @@ def check_runtime_regression(path: str, max_regression: float = 0.25,
             memory_limit = baseline[key] * (1.0 + max_memory_regression)
             if memory[key] > memory_limit:
                 raise SystemExit(
-                    f"per-epoch allocations regressed: {key} {memory[key]:.1f} kB "
+                    f"allocation peak regressed: {key} {memory[key]:.1f} kB "
                     f"> limit {memory_limit:.1f} kB (baseline {baseline[key]:.1f} "
                     f"+{max_memory_regression:.0%})")
         report.update(memory_report)
