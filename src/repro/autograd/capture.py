@@ -40,8 +40,8 @@ Between trace and replay the recording is lowered to the graph-program IR
 over it (operator fusion, see :mod:`repro.autograd.ir.passes`) and its arena
 is planned through the process-wide buffer pool
 (:mod:`repro.autograd.ir.arena`) so ensemble members share storage.
-:func:`build_inference_replay` derives a forward-only program (no backward
-schedule, no gradient or optimizer slots) for validation/serve paths.
+Inference (validation, serving) does not replay: it runs the models'
+raw-ndarray ``forward_inference``.
 
 Ops without a registered replay twin make the tape *fail softly*: training
 continues on the dynamic path, now with a :class:`CaptureBailoutWarning`
@@ -64,7 +64,7 @@ from repro.autograd import functional as F
 from repro.autograd import kernels as _kernels
 from repro.autograd import tensor as _tensor
 from repro.autograd.ir.arena import global_pool, plan_arena
-from repro.autograd.ir.passes import run_passes, strip_training
+from repro.autograd.ir.passes import run_passes
 from repro.autograd.ir.program import (OpImpl, OpRecord, Program, SlotInfo,
                                        mark_variance, verify_program)
 from repro.autograd.tensor import Tensor, _as_array, _reduce_extra_dims, _unbroadcast
@@ -180,7 +180,6 @@ class Tape:
         self.slots: List[SlotInfo] = []
         self.ops: List[OpRecord] = []
         self.loss_slot: Optional[int] = None
-        self.output_slot: Optional[int] = None
         self.failure: Optional[str] = None
         self._ids: Dict[int, int] = {}
         # Keep every traced tensor alive so ``id()`` keys stay unique for the
@@ -247,19 +246,6 @@ class Tape:
             return
         self.loss_slot = slot
 
-    def mark_output(self, t: Optional[Tensor]) -> None:
-        """Name the prediction tensor (e.g. logits) as the program's output.
-
-        Optional; enables :func:`build_inference_replay` to re-root the
-        program for inference-only replays.  Call between the traced epoch
-        and :meth:`finalize`.
-        """
-        if self.failed or t is None:
-            return
-        slot = self._ids.get(id(t))
-        if slot is not None:
-            self.output_slot = slot
-
     # -- planning --------------------------------------------------------
     def finalize(self, optimizer, scheduler, passes=None) -> Optional["Replay"]:
         """Turn the recording into a :class:`Replay` program (or ``None``).
@@ -283,8 +269,7 @@ class Tape:
     def _build(self, optimizer, scheduler, passes=None) -> "Replay":
         # Lower the recording to the graph-program IR, verify it, and run
         # the optimization passes (fusion etc.) before scheduling.
-        program = Program(slots=self.slots, ops=self.ops,
-                          loss_slot=self.loss_slot, output_slot=self.output_slot)
+        program = Program(slots=self.slots, ops=self.ops, loss_slot=self.loss_slot)
         # Epoch-variance: parameters change under the optimiser, RNG ops draw
         # fresh masks, effectful ops must re-run; everything downstream must
         # be recomputed.  The rest is a pure function of graph constants —
@@ -623,84 +608,6 @@ class Replay:
         self.epochs_replayed += 1
         _STATS["replays"] += 1
         return loss_value
-
-
-class InferenceReplay:
-    """Forward-only replay of the stripped (inference) program.
-
-    Built by :func:`build_inference_replay` from a trained :class:`Replay`:
-    no backward schedule, no gradient buffers, no optimizer mirrors — the
-    plan leases arena storage for the forward live-set only.  ``run()``
-    refreshes the leaf slots (parameters update in place during training)
-    and returns the raw output array (e.g. logits).
-    """
-
-    def __init__(self, program, forward_ops, leaves, values, plan, leased) -> None:
-        self.program = program
-        self.slots = program.slots
-        self.output_slot = program.output_slot
-        self.forward_ops = forward_ops
-        self.leaves = leaves
-        self.values = values
-        self.plan = plan
-        self._leased = list(leased) if leased else []
-        self._fwd_seq = [(op.impl.forward, op) for op in forward_ops]
-
-    def run(self) -> np.ndarray:
-        values = self.values
-        slots = self.slots
-        for slot, tensor in self.leaves:
-            data = tensor.data
-            if data.shape != slots[slot].shape or data.dtype != slots[slot].dtype:
-                message = (f"inference input slot {slot} changed from "
-                           f"{slots[slot].shape} to {data.shape}")
-                note_bailout("replay_shape", message)
-                raise CaptureBailout(message)
-            values[slot] = data
-        for forward, op in self._fwd_seq:
-            forward(op, self)
-        return values[self.output_slot]
-
-    def release(self) -> None:
-        if self._leased:
-            arrays, self._leased = self._leased, []
-            global_pool().release(arrays)
-
-
-def build_inference_replay(replay: Replay,
-                           pool=None) -> Optional[InferenceReplay]:
-    """Derive a forward-only replay for the trained program's output slot.
-
-    Runs the :func:`~repro.autograd.ir.passes.strip_training` pass over the
-    replay's program: stochastic regularisers are rewired out (eval
-    semantics of inverted dropout), the loss head and backward-only ops are
-    dropped, and the program is re-rooted at the slot named by
-    :meth:`Tape.mark_output`.  Returns ``None`` when no output was marked or
-    the program contains effectful ops (BatchNorm: eval-mode normalisation
-    reads running stats, which the training-mode tape does not express).
-
-    Constant-folded values carry over from the training replay; the derived
-    program shares slot metadata read-only and owns its op records, buffers
-    and value table, so both replays can run interleaved.
-    """
-    program = replay.program
-    if program is None:
-        return None
-    stripped = strip_training(program)
-    if stripped is None:
-        return None
-    verify_program(stripped, check_producers=False)
-    slots = stripped.slots
-    forward_ops = [op for op in stripped.ops if slots[op.out].variant]
-    plan, leased = plan_arena(stripped, forward_ops, [],
-                              (stripped.output_slot,), pool or global_pool())
-    needed = {s for op in stripped.ops for s in op.ins}
-    needed.add(stripped.output_slot)
-    leaves = [(slot, tensor) for slot, tensor in replay.leaves if slot in needed]
-    values: List[Optional[np.ndarray]] = list(replay.values)
-    return InferenceReplay(program=stripped, forward_ops=forward_ops,
-                           leaves=leaves, values=values, plan=plan,
-                           leased=leased)
 
 
 # ---------------------------------------------------------------------------
@@ -1170,23 +1077,32 @@ _register(OpImpl("log_softmax", _fwd_log_softmax, _bwd_log_softmax))
 
 
 # -- regularisation (per-epoch RNG refresh) ----------------------------------
-def _fwd_dropout(op, rt):
-    # Same uniform draw, same compare, same 0/1-cast and same rescaling
-    # division as the dynamic op — staged through three persistent buffers
-    # so a replayed epoch allocates nothing for the mask.
-    a = rt.values[op.ins[0]]
-    p = op.meta["p"]
-    state = op.state
-    if "mask" not in state:
-        state["uniform"] = np.empty(a.shape, dtype=np.float64)
-        state["keep"] = np.empty(a.shape, dtype=bool)
-        state["mask"] = np.empty(a.shape, dtype=a.dtype)
-    mask = state["mask"]
-    op.meta["rng"].random(out=state["uniform"])
-    np.greater_equal(state["uniform"], p, out=state["keep"])
+def _draw_dropout_mask(op, meta, shape, dtype, prefix=""):
+    """Redraw a dropout mask exactly as :func:`~repro.autograd.functional.
+    dropout` does, into persistent ``op.state`` buffers keyed ``prefix + name``.
+
+    Same uniform draw (at ``draw_shape`` when the op kept ``positions`` of a
+    larger tensor), same compare, same row gather and same rescaling
+    division, so a replayed epoch allocates nothing for the mask.
+    """
+    p, positions = meta["p"], meta.get("positions")
+    draw = shape if positions is None else meta["draw_shape"]
+    uniform = _state_buffer(op, prefix + "uniform", draw, np.float64)
+    keep = _state_buffer(op, prefix + "keep", draw, np.bool_)
+    meta["rng"].random(out=uniform)
+    np.greater_equal(uniform, p, out=keep)
+    if positions is not None:
+        keep = np.take(keep, positions, axis=0,
+                       out=_state_buffer(op, prefix + "kept", shape, np.bool_))
     # One pass: bool upcasts to exact 0.0 / 1.0 inside the divide, so this
-    # is bitwise the dynamic twin's ``mask.astype(dtype) / (1 - p)``.
-    np.divide(state["keep"], 1.0 - p, out=mask)
+    # is bitwise the dynamic twin's ``keep.astype(dtype) / (1 - p)``.
+    return np.divide(keep, 1.0 - p,
+                     out=_state_buffer(op, prefix + "mask", shape, dtype))
+
+
+def _fwd_dropout(op, rt):
+    a = rt.values[op.ins[0]]
+    mask = _draw_dropout_mask(op, op.meta, a.shape, a.dtype)
     _out(op, rt, np.multiply(a, mask, out=op.buffer))
 
 
@@ -1652,17 +1568,8 @@ def _fwd_ew_chain(op, rt):
                 buf *= alpha
                 np.copyto(buf, src, where=positive)
         elif kind == "dropout":
-            p = meta["p"]
-            uniform = _state_buffer(op, _stage_key(index, "uniform"),
-                                    buf.shape, np.float64)
-            keep = _state_buffer(op, _stage_key(index, "keep"),
-                                 buf.shape, np.bool_)
-            mask = _state_buffer(op, _stage_key(index, "mask"),
-                                 buf.shape, buf.dtype)
-            meta["rng"].random(out=uniform)
-            np.greater_equal(uniform, p, out=keep)
-            # bool upcasts to exact 0.0 / 1.0 inside the divide (one pass).
-            np.divide(keep, 1.0 - p, out=mask)
+            mask = _draw_dropout_mask(op, meta, buf.shape, buf.dtype,
+                                      prefix=_stage_key(index, ""))
             np.multiply(src, mask, out=buf)
         else:  # drop_node — fresh per-epoch mask, like the standalone twin
             p = meta["p"]

@@ -11,7 +11,7 @@ attention aggregators such as GAT).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -233,8 +233,16 @@ def batch_norm_stats(x: Tensor, running_mean: np.ndarray,
 # ---------------------------------------------------------------------------
 # Regularisation
 # ---------------------------------------------------------------------------
-def dropout(x: Tensor, p: float, training: bool = True, rng: Optional[np.random.Generator] = None) -> Tensor:
-    """Inverted dropout: zero entries with probability ``p`` and rescale."""
+def dropout(x: Tensor, p: float, training: bool = True, rng: Optional[np.random.Generator] = None,
+            draw_shape: Optional[Tuple[int, ...]] = None,
+            positions: Optional[np.ndarray] = None) -> Tensor:
+    """Inverted dropout: zero entries with probability ``p`` and rescale.
+
+    With ``positions``, ``x`` holds those rows of a ``draw_shape`` tensor:
+    the mask is drawn at ``draw_shape`` and its ``positions`` rows are kept,
+    so a row view consumes the RNG stream — and gets the masks — of the
+    full tensor.
+    """
     x = _ensure(x)
     if not training or p <= 0.0:
         return x
@@ -243,14 +251,19 @@ def dropout(x: Tensor, p: float, training: bool = True, rng: Optional[np.random.
     rng = rng if rng is not None else np.random.default_rng()
     # The RNG draws float64 uniforms regardless of compute dtype, so the
     # consumed stream (and therefore replica determinism) is dtype-invariant.
-    mask = (rng.random(x.shape) >= p).astype(x.data.dtype) / (1.0 - p)
+    if positions is None:
+        keep = rng.random(x.shape) >= p
+    else:
+        keep = np.take(rng.random(draw_shape) >= p, positions, axis=0)
+    mask = keep.astype(x.data.dtype) / (1.0 - p)
     out = Tensor(x.data * mask, requires_grad=x.requires_grad, _prev=(x,) if x.requires_grad else ())
     if out.requires_grad:
         def _backward(grad: np.ndarray) -> None:
             x._accumulate(grad * mask)
 
         out._backward = _backward
-    _record_op("dropout", out, (x,), p=p, rng=rng)
+    _record_op("dropout", out, (x,), p=p, rng=rng, draw_shape=draw_shape,
+               positions=positions)
     return out
 
 
@@ -599,12 +612,15 @@ def _segment_max(values: np.ndarray, index: np.ndarray, dim_size: int,
     else:
         perm = np.argsort(index, kind="stable")
         bounds = np.searchsorted(index[perm], np.arange(dim_size + 1))
-    if values.shape[0] == 0:
-        return np.zeros((dim_size,) + values.shape[1:], dtype=values.dtype)
-    # reduceat needs in-range starts; a clamped empty group reads a stray
-    # row, which the empty mask then overwrites.
-    starts = np.minimum(bounds[:-1], values.shape[0] - 1)
-    group_max = np.maximum.reduceat(np.take(values, perm, axis=0), starts, axis=0)
+    # Trailing empty groups start at len(values), past reduceat's range, so
+    # only the groups before them are reduced: each of those ends where the
+    # next one starts and reduces exactly its own edges (an inner empty
+    # group reads a stray row, which the empty mask then overwrites).
+    reduced = int(np.searchsorted(bounds[:-1], values.shape[0]))
+    group_max = np.zeros((dim_size,) + values.shape[1:], dtype=values.dtype)
+    if reduced:
+        group_max[:reduced] = np.maximum.reduceat(
+            np.take(values, perm, axis=0), bounds[:reduced], axis=0)
     group_max[bounds[1:] == bounds[:-1]] = 0.0
     group_max[~np.isfinite(group_max)] = 0.0
     return group_max

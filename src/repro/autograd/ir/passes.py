@@ -22,10 +22,6 @@ therefore only perform rewrites whose float semantics are provably unchanged:
   from the same seeded RNG stream in the same order (members must be
   consecutive tape records), and each stage's backward multiply mirrors the
   dynamic closure exactly.
-* :func:`strip_training` derives an inference-only program: stochastic
-  regularisers are rewired out (inverted dropout's eval semantics), the
-  loss head and everything only the backward pass needed are dropped, and
-  the program is re-rooted at the recorded logits slot.
 
 Passes never fuse epoch-invariant ops — those are better served by constant
 folding, which fusion would defeat.
@@ -64,7 +60,7 @@ def _kill_slot(info: SlotInfo) -> None:
 
 
 def _protected_slots(program: Program) -> set:
-    return {s for s in (program.loss_slot, program.output_slot) if s is not None}
+    return set() if program.loss_slot is None else {program.loss_slot}
 
 
 def _single_use(op: OpRecord, uses: Dict[int, int], protected: set) -> bool:
@@ -265,80 +261,6 @@ def fuse_elementwise_chains(program: Program,
         stats["ops_removed"] += len(members) - 1
     program.ops = new_ops
     return stats
-
-
-# ---------------------------------------------------------------------------
-# inference stripping
-# ---------------------------------------------------------------------------
-_STOCHASTIC = ("dropout", "drop_node")
-
-
-def strip_training(program: Program) -> Optional[Program]:
-    """Derive the inference-only program rooted at the recorded output.
-
-    Stochastic regularisers are identity at eval time (inverted dropout), so
-    their outputs are rewired to their inputs; everything not reachable from
-    the output slot — the loss head, training-index gathers, every op that
-    existed only for the backward pass — is dropped.  Returns ``None`` when
-    the program has no recorded output or contains effectful ops (BatchNorm
-    stats: eval-mode normalisation uses running stats, which no rewrite of
-    the training-mode tape reproduces).
-
-    The returned program *shares* slot metadata with its parent (read-only)
-    but owns fresh :class:`OpRecord` instances, so planning buffers for it
-    never disturbs the training replay.
-    """
-    if program.output_slot is None:
-        return None
-    if any(op.impl.effectful for op in program.ops):
-        return None
-
-    alias: Dict[int, int] = {}
-
-    def resolve(slot: int) -> int:
-        while slot in alias:
-            slot = alias[slot]
-        return slot
-
-    for op in program.ops:
-        if op.kind == "ew_chain" and all(
-                kind in _STOCHASTIC for kind, _ in op.meta["stages"]):
-            if op.meta["leader"] is None:
-                alias[op.out] = resolve(op.ins[0])
-        elif op.kind in _STOCHASTIC:
-            alias[op.out] = resolve(op.ins[0])
-
-    target = resolve(program.output_slot)
-    producer = program.producer_map()
-    needed = set()
-    stack = [target]
-    while stack:
-        slot = stack.pop()
-        if slot in needed:
-            continue
-        needed.add(slot)
-        op = producer.get(slot)
-        if op is not None and op.out not in alias:
-            stack.extend(resolve(s) for s in op.ins)
-
-    new_ops: List[OpRecord] = []
-    for op in program.ops:
-        if op.out in alias or op.out not in needed:
-            continue
-        kind, meta = op.kind, op.meta
-        if kind == "ew_chain":
-            kept = tuple((k, m) for k, m in meta["stages"]
-                         if k not in _STOCHASTIC)
-            if len(kept) != len(meta["stages"]):
-                meta = {"leader": meta["leader"], "stages": kept}
-        new_ops.append(OpRecord(
-            kind=kind, impl=op.impl, out=op.out,
-            ins=tuple(resolve(s) for s in op.ins),
-            prev=tuple(resolve(s) for s in op.prev),
-            in_requires=op.in_requires, in_shapes=op.in_shapes,
-            needs_backward=False, meta=meta, state={}, mode=op.mode))
-    return Program(slots=program.slots, ops=new_ops,
-                   loss_slot=None, output_slot=target)
 
 
 # ---------------------------------------------------------------------------

@@ -87,12 +87,11 @@ class SlotInfo:
 
 @dataclass
 class Program:
-    """A flat single-assignment graph program: slots + ops + root slots."""
+    """A flat single-assignment graph program: slots, ops and the loss slot."""
 
     slots: List[SlotInfo]
     ops: List[OpRecord]
     loss_slot: Optional[int] = None
-    output_slot: Optional[int] = None
 
     def producer_map(self) -> Dict[int, OpRecord]:
         return {op.out: op for op in self.ops}
@@ -129,15 +128,13 @@ def mark_variance(program: Program) -> None:
                               if slots[base].view_base is not None else base)
 
 
-def verify_program(program: Program, check_producers: bool = True) -> None:
+def verify_program(program: Program) -> None:
     """Check the structural invariants of the IR; raise on violation.
 
     Invariants: slots indexed densely; ops are single-assignment and read
     only already-defined slots; operand tuples are internally consistent;
-    dead slots are never read, never defined and never a root; root slots
-    (loss/output) are defined.  ``check_producers=False`` relaxes the
-    ``slots[op.out].producer is op`` identity for derived programs (e.g.
-    inference programs) that share slot metadata with their parent.
+    each op is its output slot's producer; dead slots are never read, never
+    defined and never the root; the loss slot is defined.
     """
     slots, ops = program.slots, program.ops
     n = len(slots)
@@ -174,14 +171,13 @@ def verify_program(program: Program, check_producers: bool = True) -> None:
         if slots[op.out].dead:
             raise IRVerificationError(
                 f"op {position} ({op.kind}) defines dead slot {op.out}")
-        if check_producers and slots[op.out].producer is not op:
+        if slots[op.out].producer is not op:
             raise IRVerificationError(
                 f"op {position} ({op.kind}): slots[{op.out}].producer mismatch")
         defined.add(op.out)
-    for name, root in (("loss", program.loss_slot), ("output", program.output_slot)):
-        if root is None:
-            continue
+    root = program.loss_slot
+    if root is not None:
         if not 0 <= root < n or root not in defined:
-            raise IRVerificationError(f"{name} slot {root} is not defined")
+            raise IRVerificationError(f"loss slot {root} is not defined")
         if slots[root].dead:
-            raise IRVerificationError(f"{name} slot {root} is dead")
+            raise IRVerificationError(f"loss slot {root} is dead")

@@ -471,6 +471,10 @@ class HeteroGraphTensors(GraphTensors):
             self.extras[key] = RelationBlock.from_structure(structure)
         return self.extras[key]  # type: ignore[return-value]
 
+    def restrict_rows(self, rows: np.ndarray) -> "HeteroGraphTensors":
+        """Typed views do not restrict (yet): every row is computed."""
+        return self
+
     def with_features(self, features) -> "HeteroGraphTensors":
         """Feature-substituted copy preserving the relation blocks."""
         tensors = HeteroGraphTensors(

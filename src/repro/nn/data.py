@@ -260,6 +260,54 @@ class GraphTensors:
             self.extras[key] = matrix
         return self.extras[key]  # type: ignore[return-value]
 
+    def restrict_rows(self, rows: np.ndarray) -> "GraphTensors":
+        """View whose one-hop aggregations compute only output rows ``rows``.
+
+        Same ``num_nodes`` and features.  The propagation operators keep
+        their shape with every row outside ``rows`` emptied, and the edge
+        list keeps the edges whose destination is in ``rows``, in their
+        original relative order (``edge_scatter``/``edge_block`` derive from
+        that list).  Each kept row therefore sums the same entries in the
+        same order as on the full view, so a one-hop layer's rows ``rows``
+        are bitwise the full layer's; its other rows are unspecified.
+        Memoised on this view's ``extras``.
+        """
+        rows = np.asarray(rows)
+        key = f"rows:{ndarray_fingerprint(rows)}"
+        if key not in self.extras:
+            keep = np.zeros(self.num_nodes, dtype=bool)
+            keep[rows] = True
+            kept = np.flatnonzero(keep[self.edge_index[1]])
+            self.extras[key] = GraphTensors(
+                features=self.features,
+                adj_sym=_restrict_operator(self.adj_sym, keep),
+                adj_rw=_restrict_operator(self.adj_rw, keep),
+                adj_raw=_restrict_operator(self.adj_raw, keep),
+                edge_index=self.edge_index[:, kept],
+                edge_weight=self.edge_weight[kept],
+                num_nodes=self.num_nodes,
+                num_features=self.num_features,
+                graph_id=self.graph_id,
+                num_graphs=self.num_graphs,
+                cache_derived=self.cache_derived,
+                extras={"edge_draw": (self.edge_index.shape[1], kept)},
+            )
+        return self.extras[key]  # type: ignore[return-value]
+
+    def edge_draw(self, shape: tuple) -> Dict[str, object]:
+        """``F.dropout`` arguments for a per-edge tensor of ``shape``.
+
+        A row view records its parent's edge count and its kept edge
+        positions: the mask is drawn at the parent's size and those
+        positions selected, so the RNG stream and the kept edges' masks
+        match the full view's.  On a full view there is nothing to add.
+        """
+        if "edge_draw" not in self.extras:
+            return {}
+        parent_edges, positions = self.extras["edge_draw"]
+        return {"draw_shape": (parent_edges,) + tuple(shape[1:]),
+                "positions": positions}
+
     def with_features(self, features: Tensor) -> "GraphTensors":
         """A copy of this view with substituted node features (same structure)."""
         return GraphTensors(
@@ -275,3 +323,17 @@ class GraphTensors:
             num_graphs=self.num_graphs,
             cache_derived=self.cache_derived,
         )
+
+
+def _restrict_operator(operator: SparseTensor, keep: np.ndarray) -> SparseTensor:
+    """``operator`` with every row outside ``keep`` emptied (same shape)."""
+    matrix = operator.matrix
+    counts = np.diff(matrix.indptr)
+    entries = np.repeat(keep, counts)
+    indptr = np.zeros_like(matrix.indptr)
+    np.cumsum(np.where(keep, counts, 0), out=indptr[1:])
+    restricted = sp.csr_matrix(
+        (matrix.data[entries], matrix.indices[entries], indptr), shape=matrix.shape)
+    # Read-only, so SparseTensor aliases it instead of copying.
+    restricted.data.setflags(write=False)
+    return SparseTensor(restricted)

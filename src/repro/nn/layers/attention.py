@@ -64,7 +64,7 @@ class GATConv(Module):
                                       aggregate=dst_scatter)  # (E, heads)
         if self.attention_dropout > 0:
             attention = F.dropout(attention, self.attention_dropout, training=self.training,
-                                  rng=self._rng)
+                                  rng=self._rng, **data.edge_draw(attention.shape))
 
         aggregated = kernels.gspmm(data.edge_block(), "mul", "sum",
                                    transformed, attention)  # (n, heads, dim)
@@ -90,7 +90,8 @@ class GATConv(Module):
                                             aggregate=dst_scatter)
         if self.attention_dropout > 0 and self.training:
             attention = F.dropout(Tensor(attention), self.attention_dropout,
-                                  training=True, rng=self._rng).data
+                                  training=True, rng=self._rng,
+                                  **data.edge_draw(attention.shape)).data
 
         aggregated = kernels.gspmm_forward(data.edge_block(), "mul", "sum",
                                            transformed, attention)

@@ -246,7 +246,8 @@ class RGATConv(Module):
                                           aggregate=block.scatter("v", dtype))
             if self.attention_dropout > 0:
                 attention = F.dropout(attention, self.attention_dropout,
-                                      training=self.training, rng=self._rng)
+                                      training=self.training, rng=self._rng,
+                                      **data.edge_draw(attention.shape))
 
             aggregated = kernels.gspmm(block, "mul", "sum", transformed, attention)
             if self.concat_heads:
@@ -275,7 +276,8 @@ class RGATConv(Module):
                                                 aggregate=block.scatter("v", x.dtype))
             if self.attention_dropout > 0 and self.training:
                 attention = F.dropout(Tensor(attention), self.attention_dropout,
-                                      training=True, rng=self._rng).data
+                                      training=True, rng=self._rng,
+                                      **data.edge_draw(attention.shape)).data
 
             aggregated = kernels.gspmm_forward(block, "mul", "sum", transformed,
                                                attention)

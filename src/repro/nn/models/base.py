@@ -88,9 +88,23 @@ class GNNModel(Module):
             )
         return F.weighted_sum(states, Tensor(weights))
 
-    def forward(self, data: GraphTensors, layer_weights: LayerWeights = None) -> Tensor:
-        """Return class logits of shape ``(num_nodes, num_classes)``."""
-        states = self.encode(data)
+    #: Whether a ``rows`` hint (see :meth:`forward`) lets this model skip
+    #: computing other rows; only stacked models with a one-hop last conv do.
+    restricts_rows = False
+
+    def _encode(self, data: GraphTensors, rows, inference: bool) -> list:
+        # ``rows`` is a hint; only StackedConvModel threads it through.
+        return self.encode_inference(data) if inference else self.encode(data)
+
+    def forward(self, data: GraphTensors, layer_weights: LayerWeights = None,
+                rows: Optional[np.ndarray] = None) -> Tensor:
+        """Return class logits of shape ``(num_nodes, num_classes)``.
+
+        ``rows`` names the only rows the caller reads: those come out
+        bitwise equal to the full pass, the others are unspecified (a model
+        may skip computing them).
+        """
+        states = self._encode(data, rows, inference=False)
         combined = self.combine_states(states, layer_weights)
         return self.head(combined)
 
@@ -105,14 +119,16 @@ class GNNModel(Module):
     # Raw-ndarray inference fast path
     # ------------------------------------------------------------------
     def forward_inference(self, data: GraphTensors,
-                          layer_weights: LayerWeights = None) -> np.ndarray:
+                          layer_weights: LayerWeights = None,
+                          rows: Optional[np.ndarray] = None) -> np.ndarray:
         """Class logits as a plain ndarray, bypassing Tensor wrapping.
 
         Runs in eval mode (dropout off, like :meth:`predict_proba`) and
         produces bit-for-bit the logits of the Tensor :meth:`forward` under
         ``no_grad`` — evaluation, proxy scoring and ensemble weight search
         call this in their inner loops, where graph construction overhead
-        multiplied across thousands of epochs.
+        multiplied across thousands of epochs.  ``rows`` is as for
+        :meth:`forward`.
         """
         from repro.autograd.tensor import no_grad
 
@@ -121,7 +137,7 @@ class GNNModel(Module):
             self.eval()
         try:
             with no_grad():
-                states = self.encode_inference(data)
+                states = self._encode(data, rows, inference=True)
                 combined = self.combine_states_inference(states, layer_weights)
                 return self.head.infer(combined)
         finally:
@@ -213,6 +229,9 @@ class StackedConvModel(GNNModel):
             for conv in self.convs
         ]
         self.receptive_field = sum(self._conv_hops(conv) for conv in self.convs)
+        # Only a one-hop last conv can aggregate into a row view: a deeper
+        # one reads its own intermediate rows outside the requested ones.
+        self.restricts_rows = bool(self.convs) and self._conv_hops(self.convs[-1]) == 1
 
     @staticmethod
     def _conv_hops(conv: Module) -> int:
@@ -223,34 +242,49 @@ class StackedConvModel(GNNModel):
             return max(int(conv.order) - 1, 1)
         if hasattr(conv, "num_iterations"):  # ARMAConv
             return int(conv.num_iterations)
+        if hasattr(conv, "num_steps"):       # GatedGraphConv: one hop per step
+            return int(conv.num_steps)
         return 1
 
-    def encode(self, data: GraphTensors) -> List[Tensor]:
+    def _encode(self, data: GraphTensors, rows, inference: bool) -> list:
+        encode = self.encode_inference if inference else self.encode
+        return encode(data, rows)
+
+    def _conv_views(self, data: GraphTensors, rows) -> List[GraphTensors]:
+        """The view each conv aggregates over: the last reads only ``rows``."""
+        views = [data] * len(self.convs)
+        if rows is not None and self.restricts_rows:
+            views[-1] = data.restrict_rows(rows)
+        return views
+
+    def encode(self, data: GraphTensors, rows=None) -> List[Tensor]:
         x = data.features
         if self.input_projection is not None:
             x = self.activation(self.input_projection(x))
         states: List[Tensor] = []
-        for conv, fused in zip(self.convs, self._fused_activations):
+        for conv, fused, view in zip(self.convs, self._fused_activations,
+                                     self._conv_views(data, rows)):
             x = self.dropout(x)
             if fused is not None:
-                x = conv.forward_fused(x, data, fused)
+                x = conv.forward_fused(x, view, fused)
             else:
-                x = conv(x, data)
+                x = conv(x, view)
                 x = self.activation(x)
             states.append(x)
         return states
 
-    def encode_inference(self, data: GraphTensors) -> List[np.ndarray]:
+    def encode_inference(self, data: GraphTensors, rows=None) -> List[np.ndarray]:
         # Eval-mode twin of :meth:`encode`: dropout is a no-op and each
         # convolution runs through its raw-ndarray ``infer`` path.
         x = data.features.data
         if self.input_projection is not None:
             x = self.activation_array(self.input_projection.infer(x))
         states: List[np.ndarray] = []
-        for conv, fused in zip(self.convs, self._fused_activations):
+        for conv, fused, view in zip(self.convs, self._fused_activations,
+                                     self._conv_views(data, rows)):
             if fused is not None:
-                x = conv.infer_fused(x, data, fused)
+                x = conv.infer_fused(x, view, fused)
             else:
-                x = self.activation_array(conv.infer(x, data))
+                x = self.activation_array(conv.infer(x, view))
             states.append(x)
         return states

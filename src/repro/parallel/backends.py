@@ -395,6 +395,11 @@ class _PoolBackend(ExecutionBackend):
         unfinished items; past that the unresolved remainder is delegated to
         the next backend in the degradation chain (process → thread →
         serial) when ``policy.degrade`` allows.
+
+        A pool break is charged as a failed attempt only when one task was
+        in flight, since only then is the culprit known.  Otherwise the
+        in-flight set goes on probation: it is re-dispatched one task at a
+        time, uncharged, so the next break names its task.
         """
         start = time.time()
         count = len(items)
@@ -416,6 +421,7 @@ class _PoolBackend(ExecutionBackend):
         submit_times: Dict["concurrent.futures.Future", float] = {}
         deadlines: Dict["concurrent.futures.Future", float] = {}
         retry_queue: List = []  # heap of (due_time, index)
+        probation: List[int] = []  # run one at a time after an unclaimed break
         details: dict = {}
         pool = self._ensure_pool()
 
@@ -450,6 +456,10 @@ class _PoolBackend(ExecutionBackend):
 
         def refill() -> None:
             nonlocal admitted
+            if probation:
+                if not pending:
+                    submit(probation.pop(0))
+                return
             now = time.time()
             while retry_queue and retry_queue[0][0] <= now \
                     and len(pending) < self.max_workers:
@@ -463,10 +473,11 @@ class _PoolBackend(ExecutionBackend):
 
         try:
             refill()
-            while pending or retry_queue:
+            while pending or retry_queue or probation:
                 if not pending:
-                    # Only backoff timers left: sleep until the earliest one.
-                    delay = retry_queue[0][0] - time.time()
+                    # Only backoff timers left: sleep until the earliest one
+                    # (probation dispatches at once).
+                    delay = 0.0 if probation else retry_queue[0][0] - time.time()
                     if delay > 0:
                         time.sleep(min(delay, 0.25))
                     refill()
@@ -482,6 +493,7 @@ class _PoolBackend(ExecutionBackend):
                     pending, timeout=timeout,
                     return_when=concurrent.futures.FIRST_COMPLETED)
                 broken: Optional[BaseException] = None
+                lost: List[int] = []
                 for future in done:
                     index = pending.pop(future)
                     submitted_at = submit_times.pop(future)
@@ -490,7 +502,7 @@ class _PoolBackend(ExecutionBackend):
                         value = future.result()
                     except concurrent.futures.BrokenExecutor as error:
                         broken = error
-                        resolve_failure(index, error)
+                        lost.append(index)
                         continue
                     except Exception as error:
                         resolve_failure(index, error)
@@ -501,12 +513,16 @@ class _PoolBackend(ExecutionBackend):
                     completed += 1
                 if broken is not None:
                     # The pool is dead: every still-pending future is lost
-                    # with it.  Re-queue the in-flight items and rebuild.
-                    for future, index in list(pending.items()):
-                        submit_times.pop(future, None)
-                        deadlines.pop(future, None)
-                        resolve_failure(index, broken)
+                    # with it.  Charge a lone task, else put the in-flight
+                    # set on probation, and rebuild.
+                    lost.extend(pending.values())
                     pending.clear()
+                    submit_times.clear()
+                    deadlines.clear()
+                    if len(lost) == 1:
+                        resolve_failure(lost[0], broken)
+                    else:
+                        probation.extend(sorted(lost))
                     rebuilds += 1
                     self.close()
                     if rebuilds > policy.max_pool_rebuilds:

@@ -218,18 +218,13 @@ class NodeClassificationTrainer:
         scheduler = optim.StepLR(optimizer, step_size=config.lr_decay_step,
                                  gamma=config.lr_decay_gamma)
 
-        # Holds the logits Tensor of the most recent *traced* epoch so the
-        # tape can re-root an inference-only program at it (mark_output);
-        # cleared on every non-traced path to avoid pinning the graph.
-        trace_refs: Dict[str, object] = {}
-
         def full_batch_epoch(epoch: int) -> float:
             # The seed full-batch step, op for op: any reordering here would
-            # break the batch_size=None bit-identity contract.
+            # break the batch_size=None bit-identity contract.  The loss
+            # reads only the train rows, so only those are computed.
             model.train()
             optimizer.zero_grad()
-            logits = model(data, layer_weights=layer_weights)
-            trace_refs["logits"] = logits
+            logits = model(data, layer_weights=layer_weights, rows=train_index)
             loss = F.cross_entropy(logits[train_index], labels[train_index])
             if soft_targets is not None:
                 log_probs = F.log_softmax(logits, axis=-1)
@@ -247,15 +242,6 @@ class NodeClassificationTrainer:
         # continues on the dynamic path, observably (CaptureBailoutWarning
         # + engine_stats counters).
         capture_state = {"replay": None, "enabled": False}
-        # Forward-only replay (dead-slot-eliminated program) used for
-        # validation; "validated" flips once its logits have been checked
-        # bit-exact against forward_inference.
-        inference_state = {"replay": None, "validated": False}
-
-        def drop_inference_replay() -> None:
-            if inference_state["replay"] is not None:
-                inference_state["replay"].release()
-                inference_state["replay"] = None
 
         def captured_epoch(epoch: int) -> float:
             replay = capture_state["replay"]
@@ -266,55 +252,18 @@ class NodeClassificationTrainer:
                     replay.release()
                     capture_state["replay"] = None
                     capture_state["enabled"] = False
-                    drop_inference_replay()
-                    loss = full_batch_epoch(epoch)
-                    trace_refs.clear()
-                    return loss
+                    return full_batch_epoch(epoch)
             if not capture_state["enabled"]:
-                loss = full_batch_epoch(epoch)
-                trace_refs.clear()
-                return loss
+                return full_batch_epoch(epoch)
             tape = capture_engine.Tape()
             with capture_engine.tracing(tape):
                 loss = full_batch_epoch(epoch)
-            tape.mark_output(trace_refs.pop("logits", None))
             replay = tape.finalize(optimizer=optimizer, scheduler=scheduler)
             if replay is None:
                 capture_state["enabled"] = False
             else:
                 capture_state["replay"] = replay
-                inference_state["replay"] = (
-                    capture_engine.build_inference_replay(replay))
             return loss
-
-        def validation_accuracy() -> float:
-            inference = inference_state["replay"]
-            if inference is None:
-                return self.evaluate(model, data, labels, val_index,
-                                     layer_weights)
-            try:
-                logits = inference.run()
-            except capture_engine.CaptureBailout:
-                drop_inference_replay()
-                return self.evaluate(model, data, labels, val_index,
-                                     layer_weights)
-            if not inference_state["validated"]:
-                # Guarded first use: the stripped program must reproduce the
-                # inference fast path bit-for-bit, or it is never used.
-                reference = model.forward_inference(
-                    data, layer_weights=layer_weights)
-                if not np.array_equal(logits, reference):
-                    capture_engine.note_bailout(
-                        "inference_parity",
-                        "stripped replay diverged from forward_inference",
-                        warn=False)
-                    drop_inference_replay()
-                    logits = reference
-                else:
-                    inference_state["validated"] = True
-            if val_index.size == 0:
-                return 0.0
-            return accuracy(logits[val_index], labels[val_index])
 
         batch_replays: List[object] = []
 
@@ -464,7 +413,8 @@ class NodeClassificationTrainer:
             if epoch % config.evaluate_every != 0:
                 continue
             last_evaluated = epoch
-            val_accuracy = validation_accuracy()
+            val_accuracy = self.evaluate(model, data, labels, val_index,
+                                         layer_weights)
             history.append({"epoch": float(epoch), "loss": last_loss,
                             "val_accuracy": val_accuracy})
             if val_accuracy > best_val:
@@ -481,7 +431,8 @@ class NodeClassificationTrainer:
             # With ``evaluate_every > 1`` the loop can end (via max_epochs)
             # on an epoch that was trained but never scored; evaluate it so
             # ``best_state`` can capture the final weights too.
-            val_accuracy = validation_accuracy()
+            val_accuracy = self.evaluate(model, data, labels, val_index,
+                                         layer_weights)
             history.append({"epoch": float(epoch), "loss": last_loss,
                             "val_accuracy": val_accuracy})
             if val_accuracy > best_val:
@@ -500,7 +451,6 @@ class NodeClassificationTrainer:
             capture_plan = dict(used_batch_replays[0].plan)
         # Return every leased arena buffer to the pool so the next trained
         # member (or proxy evaluation) recycles this run's storage.
-        drop_inference_replay()
         if replay is not None:
             replay.release()
         for batch_replay in used_batch_replays:
@@ -523,12 +473,14 @@ class NodeClassificationTrainer:
         """Accuracy of ``model`` on the nodes in ``index`` (no gradient tracking).
 
         Runs through the raw-ndarray inference fast path — the per-epoch
-        validation pass is the single hottest no-grad call in the system.
+        validation pass is the single hottest no-grad call in the system —
+        computing only the rows in ``index``.
         """
-        logits = model.forward_inference(data, layer_weights=layer_weights)
         index = np.asarray(index)
         if index.size == 0:
             return 0.0
+        logits = model.forward_inference(data, layer_weights=layer_weights,
+                                         rows=index)
         return accuracy(logits[index], np.asarray(labels)[index])
 
     @staticmethod

@@ -2,8 +2,8 @@
 
 The IR contract: lowering a traced tape to a Program, verifying it and
 running *any* sequence of optimization passes must leave the replayed
-trajectory bit-identical to the dynamic engine — fusion and dead-slot
-elimination change the schedule, never the floats.  These tests pin the
+trajectory bit-identical to the dynamic engine — fusion changes the
+schedule, never the floats.  These tests pin the
 verifier's structural invariants, per-pass bit-identity, a property test
 over random pass orderings, the fused leaky_relu/elu activations and the
 arena pool's cross-member reuse.
@@ -16,8 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.autograd import Tensor, functional as F, gradcheck, optim, sparse
-from repro.autograd.capture import (CaptureBailout, Tape,
-                                    build_inference_replay, tracing)
+from repro.autograd.capture import CaptureBailout, Tape, tracing
 from repro.autograd.ir import (ArenaPool, IRVerificationError, OpImpl,
                                OpRecord, Program, SlotInfo, global_pool,
                                mark_variance, pooling_disabled, verify_program)
@@ -70,7 +69,7 @@ def _iteration(operator, features, targets, params, optimizer, scheduler, rng):
     loss.backward()
     optimizer.step()
     scheduler.step()
-    return float(loss.item()), h
+    return float(loss.item())
 
 
 def _run(passes, epochs=5, seed=0, replay=True):
@@ -83,10 +82,9 @@ def _run(passes, epochs=5, seed=0, replay=True):
     losses = []
     tape = Tape()
     with tracing(tape):
-        loss, logits = _iteration(operator, features, targets, params,
-                                  optimizer, scheduler, rng)
+        loss = _iteration(operator, features, targets, params,
+                          optimizer, scheduler, rng)
     losses.append(loss)
-    tape.mark_output(logits)
     program = None
     if replay:
         rep = tape.finalize(optimizer, scheduler, passes=passes)
@@ -96,8 +94,8 @@ def _run(passes, epochs=5, seed=0, replay=True):
             losses.append(rep.run_epoch())
     else:
         for _ in range(epochs):
-            loss, _ = _iteration(operator, features, targets, params,
-                                 optimizer, scheduler, rng)
+            loss = _iteration(operator, features, targets, params,
+                              optimizer, scheduler, rng)
             losses.append(loss)
     weights = [p.data.copy() for p in params]
     if program is not None:
@@ -253,68 +251,30 @@ def test_fused_activation_gradcheck(activation):
 
 
 # ----------------------------------------------------------------------
-# Inference stripping (dead-slot elimination)
+# Replay preconditions
 # ----------------------------------------------------------------------
-def test_inference_replay_strips_training_state():
-    _, _, replay = _run(passes=None, epochs=2)
-    inference = build_inference_replay(replay)
-    assert inference is not None
-    # No backward schedule, no gradient accumulators, no optimizer mirrors.
-    assert not hasattr(inference, "backward_ops")
-    assert not hasattr(inference, "grads")
-    assert not hasattr(inference, "optimizer")
-    # Stochastic regularisers are rewired out of the stripped program.
-    kinds = {op.kind for op in inference.forward_ops}
-    assert not kinds & {"dropout", "drop_node"}
-    for op in inference.forward_ops:
-        if op.kind == "ew_chain":
-            assert not {kind for kind, _ in op.meta["stages"]} & {
-                "dropout", "drop_node"}
-    # The forward-only live set can never need more arena than training.
-    assert inference.plan["arena_bytes"] <= replay.plan["arena_bytes"]
-
-
-def test_inference_replay_matches_eval_forward():
-    operator, features, targets = _fixture(seed=8)
-    params = _make_params(seed=9)
-    rng = np.random.default_rng(10)
+def test_replay_bails_on_shape_change():
+    operator, features, targets = _fixture()
+    params = _make_params()
     optimizer = optim.Adam(list(params), lr=0.05)
     scheduler = optim.StepLR(optimizer)
     tape = Tape()
     with tracing(tape):
-        _, logits = _iteration(operator, features, targets, params,
-                               optimizer, scheduler, rng)
-    tape.mark_output(logits)
+        _iteration(operator, features, targets, params, optimizer, scheduler,
+                   np.random.default_rng(2))
     replay = tape.finalize(optimizer, scheduler)
     assert replay is not None, tape.failure
-    inference = build_inference_replay(replay)
-    assert inference is not None
-
-    def eval_forward():
-        w1, b1, w2 = params
-        h = operator.matrix @ features.data
-        h = np.maximum(h @ w1.data + b1.data, 0.0)
-        h = h @ w2.data
-        return np.where(h > 0, h, 0.2 * h)          # eval mode: no dropout
-
-    assert np.array_equal(inference.run(), eval_forward())
-    replay.run_epoch()                               # params move in place
-    assert np.array_equal(inference.run(), eval_forward())
-
-
-def test_inference_replay_bails_on_shape_change():
-    _, _, replay = _run(passes=None, epochs=1)
-    inference = build_inference_replay(replay)
-    slot, tensor = inference.leaves[0]
+    slot, tensor = replay.leaves[0]
     original = tensor.data
     try:
         tensor.data = np.zeros(tuple(s + 1 for s in original.shape),
                                original.dtype)
         with pytest.warns(Warning, match="changed"):
             with pytest.raises(CaptureBailout):
-                inference.run()
+                replay.run_epoch()
     finally:
         tensor.data = original
+        replay.release()
 
 
 # ----------------------------------------------------------------------

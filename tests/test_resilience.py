@@ -261,6 +261,29 @@ class TestSupervisedMap:
         for expected, value in zip(reference.results, report.results):
             assert expected.tobytes() == value.tobytes()
 
+    def test_pool_break_blames_only_the_crashing_task(self):
+        """Task 0 is in flight (hanging) when task 1 kills the pool: the
+        break is nobody's until probation re-runs each alone, so task 0
+        is never charged and succeeds even with no retries allowed."""
+        plan = FaultPlan([
+            FaultRule(site="backend.task", kind="hang", indices=(0,), delay=0.5),
+            FaultRule(site="backend.task", kind="crash", indices=(1,),
+                      backends=("process",))])
+        policy = ResiliencePolicy(max_retries=0, max_pool_rebuilds=4,
+                                  degrade=False, backoff_seconds=0.001,
+                                  on_failure="drop")
+        backend = ProcessBackend(max_workers=2)
+        try:
+            with plan.installed():
+                report = backend.map(_square, list(range(4)), policy=policy)
+        finally:
+            backend.close()
+        assert report.results == [0, None, 4, 9]
+        (failure,) = report.failures
+        assert failure.index == 1
+        assert failure.kind == "worker_crash"
+        assert failure.attempts == 1
+
     def test_process_degrades_to_thread_when_rebuilds_exhausted(self):
         plan = FaultPlan([FaultRule(site="backend.task", kind="crash",
                                     backends=("process",))])
